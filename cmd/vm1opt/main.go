@@ -35,7 +35,6 @@ import (
 	"vm1place/internal/layout"
 	"vm1place/internal/lefdef"
 	"vm1place/internal/objective"
-	"vm1place/internal/proxy"
 	"vm1place/internal/route"
 	"vm1place/internal/sta"
 	"vm1place/internal/tech"
@@ -66,8 +65,6 @@ func run() error {
 	workers := flag.Int("workers", 8, "parallel window solvers")
 	solverWorkers := flag.Int("solver-workers", 0,
 		"branch-and-bound workers inside each window MILP (0: sequential)")
-	shards := flag.Int("shards", 0,
-		"spatial window-grid shards run concurrently (0/1: single shard; any count gives identical placements)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
 	guided := flag.Bool("guided", false,
@@ -146,7 +143,6 @@ func run() error {
 		Sequence:         seq,
 		Workers:          *workers,
 		SolverWorkers:    *solverWorkers,
-		Shards:           *shards,
 		Guided:           *guided,
 		GuidedColdFrac:   *guidedCold,
 		GuidedShrink:     *guidedShrink,
@@ -219,45 +215,12 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.Fl
 	if err != nil {
 		return err
 	}
-
-	prm := core.DefaultParams(t, cfg.Arch)
-	var obj objective.GeomObjective
-	if cfg.Objective != "" {
-		o, err := objective.Lookup(cfg.Objective)
-		if err != nil {
-			return fmt.Errorf("-objective: %w", err)
-		}
-		obj = o
-		prm.Objective = o
-		prm.MarginDBU = cfg.MarginDBU
-		if cfg.SlackAlphaWeight > 0 {
-			staCfg := sta.DefaultConfig()
-			prm.NetAlpha = sta.CriticalityBetas(
-				sta.NetSlacks(p, staCfg, nil), staCfg.ClockPeriodNs, cfg.SlackAlphaWeight)
-		}
-	}
-	if cfg.AlphaSet {
-		prm.Alpha = cfg.Alpha
-	}
-	if cfg.Workers > 0 {
-		prm.Workers = cfg.Workers
-	}
-	if cfg.Shards > 1 {
-		prm.Shards = cfg.Shards
-	}
-	if cfg.Guided {
-		// DEF path has no init-route feedback stage; the estimator runs
-		// uncalibrated (neutral per-region multipliers), which still ranks
-		// families by predicted congestion.
-		prm.Guided = true
-		pcfg := proxy.DefaultConfig(t, cfg.Arch)
-		if obj != nil {
-			pcfg = proxy.DefaultConfigForObjective(t, obj)
-		}
-		prm.Proxy = proxy.New(p, pcfg)
-		prm.GuidedColdFrac = cfg.GuidedColdFrac
-		prm.GuidedShrink = cfg.GuidedShrink
-		prm.GuidedBoostCap = cfg.GuidedBoostCap
+	// The DEF path has no init-route feedback stage, so a guided run's
+	// estimator stays uncalibrated (neutral per-region multipliers), which
+	// still ranks families by predicted congestion.
+	prm, err := cfg.Params(p)
+	if err != nil {
+		return err
 	}
 	seq := cfg.Sequence
 	if seq == nil {

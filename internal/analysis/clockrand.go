@@ -36,9 +36,7 @@ var ClockRandAnalyzer = &Analyzer{
 }
 
 // clockAllowedPrefixes are the internal packages that own deadlines and
-// timings. internal/shard — like internal/proxy above — is deliberately
-// NOT listed: the stripe partition must be a pure function of the grid
-// and loads, so any clock/rand read there is a determinism bug.
+// timings.
 var clockAllowedPrefixes = []string{
 	"vm1place/internal/lp",
 	"vm1place/internal/milp",

@@ -84,6 +84,9 @@ type Params struct {
 	// Workers is the parallel window solver count. DefaultParams sets it
 	// to the machine's available parallelism (the paper's experiments use
 	// 8 threads on an 8-core host — the same policy, not a magic count).
+	// It also sizes DistOpt's next-family prebuild budget, so at most
+	// 2 x Workers windows are live at once; placements are identical for
+	// every value.
 	Workers int
 	// SolverWorkers is the speculative branch-and-bound worker count
 	// inside each window MILP (milp.Params.Workers): at >= 2 node
@@ -93,17 +96,6 @@ type Params struct {
 	// parallelizes across windows; the default of 0 leaves all parallelism
 	// at the window level.
 	SolverWorkers int
-	// Shards splits the window grid into that many contiguous column
-	// stripes (internal/shard) that run concurrently with a read-only
-	// halo of boundary straddlers, merging moves at each window-family
-	// barrier in family window order — the same single batch per family
-	// as the unsharded path, so any shard count yields bit-identical
-	// placements (the sharded inner loop releases window storage at the
-	// barrier, keeping peak memory sublinear in the window count; see
-	// DESIGN.md §4f). Stripes are balanced by proxy-predicted load when
-	// guided selection is active, by window population otherwise. <= 1
-	// keeps the pipelined single-shard engine.
-	Shards int
 	// MaxMILPCells is the largest window (movable cells) solved exactly;
 	// larger windows use the greedy coordinate-descent fallback (0: 100).
 	MaxMILPCells int
@@ -169,30 +161,6 @@ func (prm Params) guidedBoostCap() float64 {
 
 // guided reports whether guided family selection is active.
 func (prm Params) guided() bool { return prm.Guided && prm.Proxy != nil }
-
-// shardsOf returns the effective spatial shard count (>= 1).
-func shardsOf(prm Params) int {
-	if prm.Shards <= 1 {
-		return 1
-	}
-	return prm.Shards
-}
-
-// poolWorkers sizes the run's solver pool: Workers workspaces for the
-// single-shard engine; when sharding, every stripe gets an equal share of
-// Workers but at least one workspace, so a Workers=1 sharded run still
-// makes progress on every stripe concurrently.
-func poolWorkers(prm Params) int {
-	k := shardsOf(prm)
-	if k <= 1 {
-		return workersOf(prm)
-	}
-	per := workersOf(prm) / k
-	if per < 1 {
-		per = 1
-	}
-	return k * per
-}
 
 // DefaultParams returns paper-faithful defaults for an architecture.
 func DefaultParams(t *tech.Tech, arch tech.Arch) Params {

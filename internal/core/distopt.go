@@ -55,7 +55,7 @@ func DistOpt(p *layout.Placement, prm Params, ps ParamSet, tx, ty int64,
 	}
 	// ctx-ok: context-free compatibility entry point; cancellable callers use distPass via VM1OptCtx.
 	obj, _ := distPass(context.Background(), t, ps, makeGrid(p, ps, tx, ty),
-		newSolverPool(poolWorkers(prm)), allowMove, allowFlip)
+		newSolverPool(workersOf(prm)), allowMove, allowFlip)
 	return obj
 }
 
@@ -87,9 +87,8 @@ func diagonalFamilies(g passGrid) [][]int {
 
 // appendWindowMoves appends one solved window's accepted relocations to
 // moves, comparing each candidate against the live (pre-commit)
-// placement so unmoved cells produce no Move. Shared by the pipelined
-// and sharded inner loops: during a family the placement is read-only,
-// so the comparison is race-free wherever extraction happens.
+// placement so unmoved cells produce no Move. During a family the
+// placement is read-only, so the comparison is race-free on any worker.
 func appendWindowMoves(moves []Move, p *layout.Placement, w *window, assign []int) []Move {
 	if assign == nil {
 		return moves
@@ -112,12 +111,27 @@ func appendWindowMoves(moves []Move, p *layout.Placement, w *window, assign []in
 // funneled through t.ApplyMoves, which updates only the nets incident to
 // moved cells instead of rescanning the design.
 //
-// The pass pipelines build against solve across neighboring diagonal
-// families: while family f's windows are being solved, the same workers
-// also prebuild family f+1's geometry stage (movable sets, blocked sites,
-// candidates — see window.buildGeom for why that stage is invariant under
-// family f's moves). Only the net/pair stage, which reads terminal
-// positions anywhere on the die, waits for family f's moves to commit.
+// Workers drain one atomic cursor per family. Its tasks are first the
+// family's solves, in family order, then the geometry prebuilds (movable
+// sets, blocked sites, candidates — see window.buildGeom for why that
+// stage is invariant under this family's moves) of the next family's
+// first pool.workers windows, which keep workers busy through the
+// family's tail. A prebuild only recycles a window a finished solve has
+// released, and is skipped when none is free; a window it skips is built
+// when its solve task runs. A solve task takes its window's prebuilt
+// geometry or builds it from the freelist, finishes the net/pair stage
+// (which reads terminal positions anywhere on the die, so it waits for the
+// previous family's commit), solves, writes the accepted moves to the
+// window's family-order slot and releases the window at once. Live
+// windows are therefore bounded by the in-flight solves plus one prebuild
+// budget — at most 2 x pool.workers, and in practice one per worker —
+// however large the grid.
+//
+// At the family barrier the slots are concatenated in family order into
+// one ApplyMoves batch. A window's solve depends only on the pre-family
+// placement, never on the worker, arena or recycled window that ran it,
+// so the committed batch — and the placement — is identical for every
+// worker count.
 //
 // Cancellation is checked between window families — the pass's commit
 // boundaries — so an interrupted pass returns with the placement legal and
@@ -134,68 +148,48 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	// Guided selection: score the windows with the QoR proxy and derive
 	// the family processing order, skip set and per-window budgets;
 	// otherwise run every family in diagonal order under the uniform
-	// budget. Reordering and skipping are safe for the build/solve
-	// pipeline below: windows of different families occupy disjoint
-	// rectangles and boundary straddlers are immovable, so a family's
-	// geometry stage is invariant under any other family's moves,
-	// whichever one runs first.
+	// budget. Reordering and skipping are safe for the prebuilds below:
+	// windows of different families occupy disjoint rectangles and
+	// boundary straddlers are immovable, so a family's geometry stage is
+	// invariant under any other family's moves, whichever one runs first.
 	plan := uniformPlan(g, families, fprm.TimeLimit)
 	if prm.guided() {
 		plan = guidedPlan(prm, prm.Proxy, g, families, fprm.TimeLimit)
 	}
-	winPrm := func(wi int) Params {
+	buildGeom := func(w *window, wid int) *window {
 		q := fprm
-		q.TimeLimit = plan.wtl[wi]
-		return q
-	}
-
-	if shardsOf(prm) > 1 {
-		// Spatially sharded inner loop (distopt_shard.go): column stripes
-		// of the grid run concurrently, windows are materialized lazily
-		// and released per window, and each family's moves merge at the
-		// barrier in family window order — the identical single batch the
-		// loop below commits, so placements match bit for bit.
-		return distPassSharded(ctx, t, ps, g, pool, fprm, families, plan,
-			allowMove, allowFlip)
+		q.TimeLimit = plan.wtl[wid]
+		w.buildGeom(p, q, g.rects[wid], ps, g.buckets[wid], allowMove, allowFlip)
+		return w
 	}
 
 	var moves []Move
-	var pre []*window // prebuilt geometry for the family about to run
-	for oi := 0; oi < len(plan.order); oi++ {
+	var slots [][]Move // slots[k]: accepted moves of the family's k-th window
+	var pre []*window  // prebuilt geometry of the family about to run
+	for oi := range plan.order {
 		if err := ctx.Err(); err != nil {
-			pool.putWindows(pre)
+			for _, w := range pre {
+				pool.putWindow(w)
+			}
 			return t.Objective(), err
 		}
-		fi := plan.order[oi]
-		curFam := families[fi]
+		fam := families[plan.order[oi]]
 		cur := pre
-		if cur == nil {
-			// First family: no prebuild happened yet; its windows are
-			// built from scratch inside the solve tasks below.
-			cur = make([]*window, len(curFam))
-		}
-		var next []*window
 		var nextFam []int
+		var next []*window
 		if oi+1 < len(plan.order) {
 			nextFam = families[plan.order[oi+1]]
-			next = make([]*window, len(nextFam))
+			next = make([]*window, min(pool.workers, len(nextFam)))
 		}
 		pre = next
-
-		// Combined task list for this family's barrier: first the solve
-		// tasks (finish nets/pairs on prebuilt geometry, then solve), then
-		// the geometry prebuilds for the next family. Workers drain the
-		// list through an atomic cursor; results land at fixed indices, so
-		// scheduling order never affects the outcome.
-		assigns := make([][]int, len(cur))
-		total := len(cur) + len(next)
-		workers := pool.workers
-		if workers > total {
-			workers = total
+		for len(slots) < len(fam) {
+			slots = append(slots, nil)
 		}
+
+		total := len(fam) + len(next)
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
+		for wk := 0; wk < min(pool.workers, total); wk++ {
 			wg.Add(1)
 			sv := <-pool.solvers
 			go func(sv *winSolver) {
@@ -206,35 +200,35 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 					if i >= total {
 						return
 					}
-					if i < len(cur) {
-						w := cur[i]
-						if w == nil {
-							w = pool.getWindow()
-							w.buildGeom(p, winPrm(curFam[i]), g.rects[curFam[i]], ps,
-								g.buckets[curFam[i]], allowMove, allowFlip)
-							cur[i] = w
+					if i >= len(fam) {
+						if w := pool.getWindow(false); w != nil {
+							j := i - len(fam)
+							next[j] = buildGeom(w, nextFam[j])
 						}
-						w.buildNetsPairs()
-						w.sv = sv
-						assigns[i] = w.solve()
-						w.sv = nil
-					} else {
-						j := i - len(cur)
-						w := pool.getWindow()
-						w.buildGeom(p, winPrm(nextFam[j]), g.rects[nextFam[j]], ps,
-							g.buckets[nextFam[j]], allowMove, allowFlip)
-						next[j] = w
+						continue
 					}
+					var w *window
+					if i < len(cur) {
+						w = cur[i]
+					}
+					if w == nil {
+						w = buildGeom(pool.getWindow(true), fam[i])
+					}
+					w.buildNetsPairs()
+					w.sv = sv
+					assign := w.solve()
+					w.sv = nil
+					slots[i] = appendWindowMoves(slots[i][:0], p, w, assign)
+					pool.putWindow(w)
 				}
 			}(sv)
 		}
 		wg.Wait()
 
 		moves = moves[:0]
-		for k, w := range cur {
-			moves = appendWindowMoves(moves, p, w, assigns[k])
+		for _, wm := range slots[:len(fam)] {
+			moves = append(moves, wm...)
 		}
-		pool.putWindows(cur)
 		if len(moves) > 0 {
 			t.ApplyMoves(moves)
 		}

@@ -78,7 +78,7 @@ func vm1optRun(ctx context.Context, p *layout.Placement, prm Params, u Sequence,
 	}
 	res := Result{Initial: t.Objective()}
 	obj := res.Initial
-	pool := newSolverPool(poolWorkers(prm))
+	pool := newSolverPool(workersOf(prm))
 
 	var runErr error
 loop:

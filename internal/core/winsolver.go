@@ -69,6 +69,7 @@ type solverPool struct {
 
 	mu   sync.Mutex
 	free []*window
+	made int // windows ever allocated; all are on free between passes
 }
 
 // newSolverPool builds one solve workspace per worker. Workspaces are
@@ -87,9 +88,10 @@ func newSolverPool(workers int) *solverPool {
 	return sp
 }
 
-// getWindow returns a recycled window (to be rebuilt with buildGeom) or a
-// fresh one when the freelist is empty.
-func (sp *solverPool) getWindow() *window {
+// getWindow returns a recycled window (to be rebuilt with buildGeom). When
+// the freelist is empty it returns a fresh window if alloc is set, nil
+// otherwise.
+func (sp *solverPool) getWindow(alloc bool) *window {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if n := len(sp.free); n > 0 {
@@ -97,33 +99,21 @@ func (sp *solverPool) getWindow() *window {
 		sp.free = sp.free[:n-1]
 		return w
 	}
+	if !alloc {
+		return nil
+	}
+	sp.made++
 	return &window{}
 }
 
-// putWindow returns one window to the freelist. The sharded inner loop
-// releases each window the moment its moves are extracted — instead of
-// holding a whole family like putWindows — so live window storage is
-// bounded by in-flight solves, not by the grid.
+// putWindow returns one window to the freelist. DistOpt releases each
+// window the moment its moves are extracted, so live window storage is
+// bounded by the worker count, not by the grid.
 func (sp *solverPool) putWindow(w *window) {
 	if w == nil {
 		return
 	}
 	sp.mu.Lock()
 	sp.free = append(sp.free, w)
-	sp.mu.Unlock()
-}
-
-// putWindows returns solved windows to the freelist once their moves have
-// been collected.
-func (sp *solverPool) putWindows(ws []*window) {
-	if len(ws) == 0 {
-		return
-	}
-	sp.mu.Lock()
-	for _, w := range ws {
-		if w != nil {
-			sp.free = append(sp.free, w)
-		}
-	}
 	sp.mu.Unlock()
 }

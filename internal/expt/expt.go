@@ -128,13 +128,6 @@ type FlowConfig struct {
 	// inside each window MILP (core.Params.SolverWorkers). Zero keeps the
 	// sequential solver; any count >= 2 yields identical placements.
 	SolverWorkers int
-	// Shards splits the optimizer's window grid into that many spatial
-	// column stripes running concurrently with a boundary-straddler halo
-	// (core.Params.Shards). Any shard count yields bit-identical
-	// placements; the sharded loop releases window storage per window, so
-	// large designs peak sublinear in the window count. Zero/one keeps
-	// the pipelined single-shard engine.
-	Shards int
 	// TimeLimit overrides the optimizer's per-window MILP wall budget:
 	// positive sets it, negative disables it entirely (node-capped only —
 	// with Workers=1 the whole flow is then bit-for-bit deterministic),
@@ -162,9 +155,24 @@ func DefaultSequence() core.Sequence {
 	return core.Sequence{{BW: UmToDBU(20), BH: UmToDBU(20), LX: 4, LY: 1}}
 }
 
-// params expands the config into optimizer parameters.
-func (cfg FlowConfig) params(t *tech.Tech) core.Params {
-	prm := core.DefaultParams(t, cfg.Arch)
+// Params expands the config into the optimizer parameters for placement
+// p: defaults for the config's architecture (or the named objective's),
+// the numeric overrides, the objective with its margin, slack-derived
+// per-net α multipliers when SlackAlphaWeight > 0, and, when Guided, a
+// fresh proxy.Estimator over p as prm.Proxy. The flow and every external
+// placement (vm1opt -lef/-def) share this one expansion.
+func (cfg FlowConfig) Params(p *layout.Placement) (core.Params, error) {
+	arch := cfg.Arch
+	var obj objective.GeomObjective
+	if cfg.Objective != "" {
+		o, err := objective.Lookup(cfg.Objective)
+		if err != nil {
+			return core.Params{}, fmt.Errorf("expt: params: %w", err)
+		}
+		obj = o
+		arch = o.Arch()
+	}
+	prm := core.DefaultParams(p.Tech, arch)
 	if cfg.AlphaSet || cfg.Alpha > 0 {
 		prm.Alpha = cfg.Alpha
 	}
@@ -177,16 +185,31 @@ func (cfg FlowConfig) params(t *tech.Tech) core.Params {
 	if cfg.SolverWorkers > 0 {
 		prm.SolverWorkers = cfg.SolverWorkers
 	}
-	if cfg.Shards > 1 {
-		prm.Shards = cfg.Shards
-	}
 	switch {
 	case cfg.TimeLimit > 0:
 		prm.TimeLimit = cfg.TimeLimit
 	case cfg.TimeLimit < 0:
 		prm.TimeLimit = 0
 	}
-	return prm
+	prm.Objective = obj
+	prm.MarginDBU = cfg.MarginDBU
+	if cfg.SlackAlphaWeight > 0 {
+		staCfg := staDefault()
+		prm.NetAlpha = staCriticalityBetas(
+			staNetSlacks(p, staCfg), staCfg.ClockPeriodNs, cfg.SlackAlphaWeight)
+	}
+	if cfg.Guided {
+		pcfg := proxy.DefaultConfig(p.Tech, arch)
+		if obj != nil {
+			pcfg = proxy.DefaultConfigForObjective(p.Tech, obj)
+		}
+		prm.Guided = true
+		prm.Proxy = proxy.New(p, pcfg)
+		prm.GuidedColdFrac = cfg.GuidedColdFrac
+		prm.GuidedShrink = cfg.GuidedShrink
+		prm.GuidedBoostCap = cfg.GuidedBoostCap
+	}
+	return prm, nil
 }
 
 // Snapshot is the full metric set of one routed placement (one half of a
@@ -310,13 +333,11 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 	// Resolve the objective before any stage closure captures cfg: a named
 	// objective fixes the cell architecture every stage (library synthesis,
 	// routing capacity model, proxy config) must agree on.
-	var obj objective.GeomObjective
 	if cfg.Objective != "" {
 		o, err := objective.Lookup(cfg.Objective)
 		if err != nil {
 			return FlowResult{}, fmt.Errorf("expt: flow %s: %w", spec.Name, err)
 		}
-		obj = o
 		cfg.Arch = o.Arch()
 	}
 	bt := cfg.Tech
@@ -336,35 +357,20 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 			}
 			st.Placement = p
 			res.NumInsts = len(p.Design.Insts)
-			prm = cfg.params(p.Tech)
-			prm.Objective = obj
-			prm.MarginDBU = cfg.MarginDBU
-			if cfg.SlackAlphaWeight > 0 {
-				staCfg := staDefault()
-				prm.NetAlpha = staCriticalityBetas(
-					staNetSlacks(p, staCfg), staCfg.ClockPeriodNs, cfg.SlackAlphaWeight)
+			prm, err = cfg.Params(p)
+			if err != nil {
+				return err
 			}
 			if timingAware {
 				staCfg := staDefault()
 				prm.NetBeta = staCriticalityBetas(
 					staNetSlacks(p, staCfg), staCfg.ClockPeriodNs, timingWeight)
 			}
-			if cfg.Guided {
-				// Guided selection: one estimator spans the flow — built
-				// here, calibrated by init-route's overflow, consulted by
-				// the optimizer before every pass, and kept current by the
-				// tracker after every committed move batch.
-				pcfg := proxy.DefaultConfig(p.Tech, cfg.Arch)
-				if obj != nil {
-					pcfg = proxy.DefaultConfigForObjective(p.Tech, obj)
-				}
-				est = proxy.New(p, pcfg)
-				prm.Guided = true
-				prm.Proxy = est
-				prm.GuidedColdFrac = cfg.GuidedColdFrac
-				prm.GuidedShrink = cfg.GuidedShrink
-				prm.GuidedBoostCap = cfg.GuidedBoostCap
-			}
+			// Guided selection: one estimator spans the flow — built by
+			// Params, calibrated by init-route's overflow, consulted by the
+			// optimizer before every pass, and kept current by the tracker
+			// after every committed move batch.
+			est, _ = prm.Proxy.(*proxy.Estimator)
 			res.Alpha = prm.Alpha
 			return nil
 		}),

@@ -75,20 +75,4 @@ func TestGoldenFlowDeterministic(t *testing.T) {
 	if g1.Final.DM1 <= g1.Init.DM1 {
 		t.Errorf("golden flow did not improve dM1: %d -> %d", g1.Init.DM1, g1.Final.DM1)
 	}
-
-	// Spatial sharding must be invisible in the golden metrics: the
-	// sharded inner loop commits the identical move batch per family
-	// (merged in family window order at the barrier), so every shard
-	// count reproduces the unsharded flow bit for bit.
-	for _, k := range []int{2, 4, 8} {
-		ck := cfg
-		ck.Shards = k
-		rk, err := RunFlow(spec, ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gk := golden(rk); gk != g1 {
-			t.Errorf("Shards=%d flow metrics diverged:\nsharded: %+v\nbase:    %+v", k, gk, g1)
-		}
-	}
 }

@@ -15,11 +15,11 @@
 // Batch composition, deferral decisions and the cleanup order depend only
 // on the placement and configuration — never on the worker count or
 // goroutine scheduling — so RouteAll returns bit-identical Metrics for
-// every Workers value. In particular the single-worker path below walks
-// the same batch-concatenation order the barriers produce (it cannot use
-// plain net order: first-fit coloring can seat a later net in an earlier
-// batch than an earlier conflicting net), just without the goroutine and
-// buffer machinery.
+// every Workers value. With one worker (or a one-net batch) each batch
+// is routed in place in net order, which commits in the same
+// batch-concatenation order the barriers produce (not plain net order:
+// first-fit coloring can seat a later net in an earlier batch than an
+// earlier conflicting net).
 package route
 
 import (
@@ -131,13 +131,7 @@ func (r *Router) routeBatched(ctx context.Context, nets []int, cw float64) error
 	r.ensureSearchers(workers)
 	r.buildSchedule(nets)
 
-	deferred := r.deferBuf[:0]
-	var err error
-	if workers <= 1 {
-		deferred, err = r.runScheduleSeq(ctx, deferred)
-	} else {
-		deferred, err = r.runSchedulePar(ctx, workers, deferred)
-	}
+	deferred, err := r.runSchedule(ctx, workers, r.deferBuf[:0])
 	r.deferBuf = deferred[:0]
 	if err != nil {
 		return err
@@ -157,34 +151,9 @@ func (r *Router) routeBatched(ctx context.Context, nets []int, cw float64) error
 	return nil
 }
 
-// runScheduleSeq is the single-worker fast path: it walks the schedule in
-// batch-concatenation order — the same order the parallel barriers commit
-// in — routing and committing each net immediately. Within a batch the
-// regions are disjoint, so in-place sequential execution is equivalent to
-// the concurrent run; across batches the commit order is the
-// concatenation order either way. No goroutines, no cursor, no per-batch
-// result buffers.
-func (r *Router) runScheduleSeq(ctx context.Context, deferred []int) ([]int, error) {
-	s := r.searchers[0]
-	for bi := 0; bi < r.sched.used; bi++ {
-		if err := ctx.Err(); err != nil {
-			return deferred, err
-		}
-		for _, ni := range r.sched.nets[bi] {
-			nr, def := s.routeNet(ni, r.netRegion[ni], true)
-			if def {
-				deferred = append(deferred, ni)
-			} else {
-				r.routes[ni] = nr
-			}
-		}
-	}
-	return deferred, nil
-}
-
-// runSchedulePar drains each batch with a worker pool and commits at the
+// runSchedule drains each batch with a worker pool and commits at the
 // batch barrier in net order. Result buffers are pooled on the Router.
-func (r *Router) runSchedulePar(ctx context.Context, workers int, deferred []int) ([]int, error) {
+func (r *Router) runSchedule(ctx context.Context, workers int, deferred []int) ([]int, error) {
 	for bi := 0; bi < r.sched.used; bi++ {
 		if err := ctx.Err(); err != nil {
 			return deferred, err
@@ -195,7 +164,7 @@ func (r *Router) runSchedulePar(ctx context.Context, workers int, deferred []int
 			w = len(batch)
 		}
 		if w <= 1 {
-			// One-net batch: skip the pool.
+			// One worker or a one-net batch: route in place, no pool.
 			s := r.searchers[0]
 			for _, ni := range batch {
 				nr, def := s.routeNet(ni, r.netRegion[ni], true)

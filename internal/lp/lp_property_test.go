@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -160,6 +161,39 @@ func TestLargeSparseAssignment(t *testing.T) {
 		}
 		if math.Abs(sum-1) > 1e-6 {
 			t.Fatalf("group %d sums to %f", g, sum)
+		}
+	}
+}
+
+// TestRatioHeapMatchesSort: the dual ratio walk pops candidates in exactly
+// the (ratio, column) order a full sort gives, ties in ratio included.
+func TestRatioHeapMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(200)
+		h := make(ratioHeap, 0, n)
+		for _, j := range rng.Perm(4 * (n + 1))[:n] {
+			// Few distinct ratios, so most candidates tie on ratio.
+			h = append(h, ratioCand{j: j, ratio: float64(rng.Intn(6)) / 4})
+		}
+		want := append([]ratioCand(nil), h...)
+		slices.SortFunc(want, func(a, b ratioCand) int {
+			switch {
+			case a.ratio < b.ratio:
+				return -1
+			case a.ratio > b.ratio:
+				return 1
+			}
+			return a.j - b.j
+		})
+		h.init()
+		for k, w := range want {
+			if got := h.pop(); got != w {
+				t.Fatalf("trial %d: pop %d = %+v, want %+v", trial, k, got, w)
+			}
+		}
+		if len(h) != 0 {
+			t.Fatalf("trial %d: %d candidates left after popping all", trial, len(h))
 		}
 	}
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint test race bench-smoke bench-proxy bench-objective bench-json bench-core bench-route bench-scale bench-scale-smoke
+.PHONY: check vet lint test race fuzz-lp bench-smoke bench-proxy bench-objective bench-json bench-core bench-route bench-scale bench-scale-smoke
 
 check: vet lint test race bench-smoke
 
@@ -27,6 +27,15 @@ test:
 # parallel-sweep layers (flow, expt) that fan work out over them.
 race:
 	$(GO) test -race -timeout 30m ./internal/core/... ./internal/lp/... ./internal/milp/... ./internal/route/... ./internal/flow/... ./internal/expt/... ./internal/objective/...
+
+# Fuzzes the simplex kernel (sparse LU with Forrest–Tomlin updates, primal
+# and dual paths) against the dense reference for 30 s, starting from the
+# FuzzLPKernelAgreement seed corpus. Not yet part of bench-smoke: within
+# seconds it finds known objective disagreements between the kernel and
+# the reference, mostly drift in the reference's own basic values (see
+# ROADMAP.md).
+fuzz-lp:
+	$(GO) test -run '^$$' -fuzz FuzzLPKernelAgreement -fuzztime 30s ./internal/lp
 
 # One iteration of each substrate microbenchmark — a fast sanity pass that
 # the benchmarks still build and run, not a measurement.

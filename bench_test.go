@@ -215,6 +215,8 @@ func reportLPStats(b *testing.B, start lp.Stats) {
 	b.ReportMetric(float64(end.Pivots-start.Pivots)/n, "pivots/op")
 	b.ReportMetric(float64(end.Refactors-start.Refactors)/n, "refactors/op")
 	b.ReportMetric(float64(end.FillNnz-start.FillNnz)/n, "fill-nnz/op")
+	b.ReportMetric(float64(end.EtaNnz-start.EtaNnz)/n, "eta-nnz/op")
+	b.ReportMetric(float64(end.UpdateRejects-start.UpdateRejects)/n, "update-rejects/op")
 }
 
 // BenchmarkDistOptPass measures one parallel window-optimization pass at

@@ -41,8 +41,8 @@ type Arena struct {
 
 	// lu is the sparse basis factorization (factor.go). It persists
 	// across solves: a warm re-solve picks up the previous optimal basis's
-	// factor and eta file as-is, refactorizing only when the fill or
-	// stability triggers fire.
+	// factor and its updates as-is, refactorizing only when the count,
+	// fill or stability triggers fire.
 	lu *luFactor
 
 	// Per-solve working storage, reset by newSimplex/solve.
@@ -98,8 +98,8 @@ func (a *Arena) SetDeadline(t time.Time) {
 func (a *Arena) InvalidateWarm() { a.warm = false }
 
 // Stats returns the cumulative simplex-kernel counters of every solve that
-// used this arena (solves, pivots, refactorizations, fill-in, eta file
-// growth). See GlobalStats for the process-wide aggregate.
+// used this arena (solves, pivots, refactorizations, fill-in, update
+// growth and refusals). See GlobalStats for the process-wide aggregate.
 func (a *Arena) Stats() Stats {
 	if a.lu == nil {
 		return Stats{}
@@ -132,7 +132,7 @@ func (a *Arena) bind(m *Model) bool {
 			a.cols[n+rows+i] = a.unit[rows+i : rows+i+1 : rows+i+1]
 		}
 		a.colNorm = a.colNorm[:0] // recomputed lazily by iterate
-		a.rowPtr = a.rowPtr[:0] // CSR rebuilt lazily by ensureRowMatrix
+		a.rowPtr = a.rowPtr[:0]   // CSR rebuilt lazily by ensureRowMatrix
 		a.rhs = growSlice(a.rhs, rows)
 		copy(a.rhs, m.rhs)
 		perturbRHS(a.rhs)

@@ -1,30 +1,34 @@
 package lp
 
-// Sparse FTRAN/BTRAN over the LU factorization in factor.go.
+// Sparse FTRAN/BTRAN over the factorization in factor.go, and the
+// Forrest–Tomlin basis update.
 //
 // FTRAN solves B·x = b (constraint-row space → basis-slot space); BTRAN
-// solves Bᵀ·y = c (slot space → row space). Both run in O(m + nnz) — the
-// lower-triangular replay skips steps whose right-hand side is still zero,
-// so a hyper-sparse RHS (an entering column with three nonzeros, a unit
-// vector for a dual pivot row) touches only the entries it can reach, and
-// the results carry indexed nonzero lists so the ratio test, the basic-
-// value update and the eta append iterate nonzeros instead of dense
-// m-vectors.
+// solves Bᵀ·y = c (slot space → row space). With B = L·R⁻¹·U each is three
+// passes: FTRAN applies L⁻¹, the row etas R, then U⁻¹; BTRAN applies U⁻ᵀ,
+// Rᵀ, then L⁻ᵀ. The triangular passes skip steps whose value is still
+// zero, so a hyper-sparse right-hand side (an entering column with three
+// nonzeros, a unit vector for a dual pivot row) touches only the U rows
+// and columns it can reach, and ftranSpike returns an indexed nonzero list
+// so the ratio test and the basic-value update iterate nonzeros instead of
+// dense m-vectors.
 
 // ftranDense solves B·x = v in place: v enters indexed by constraint row,
 // leaves indexed by basis slot.
 func (f *luFactor) ftranDense(v []float64) {
-	f.ftranBase(v)
-	f.ftranEtas(v)
+	f.ftranL(v)
+	f.ftranR(v)
+	f.ftranU(v)
+	for s := 0; s < f.m; s++ {
+		v[s] = f.tmp[f.colOf[s]]
+	}
 }
 
-// ftranBase applies the base LU solve only (no etas).
-func (f *luFactor) ftranBase(v []float64) {
-	m := f.m
-	// Lower replay in elimination order: rows reduced during elimination
-	// get the same multiples of the pivot row subtracted. Only the steps
-	// with multipliers (lsteps) are visited, and a step whose pivot-row
-	// value is zero moves nothing — the hyper-sparse skip.
+// ftranL replays the elimination on v in row space: rows reduced during
+// elimination get the same multiples of the pivot row subtracted. Only
+// the steps with multipliers (lsteps) are visited, and a step whose
+// pivot-row value is zero moves nothing — the hyper-sparse skip.
+func (f *luFactor) ftranL(v []float64) {
 	for _, k := range f.lsteps {
 		t := v[f.pr[k]]
 		if t == 0 {
@@ -34,12 +38,31 @@ func (f *luFactor) ftranBase(v []float64) {
 			v[f.lrow[e]] -= f.lval[e] * t
 		}
 	}
-	// Back substitution on U, column-scatter form: once step c's value is
-	// known, subtract its contribution from every earlier row carrying
-	// column c. A step whose right-hand side is zero yields zero and
-	// scatters nothing — its whole U column is skipped.
+}
+
+// ftranR applies the row etas in update order: each target row absorbs
+// the multiples of the rows its U row was eliminated with.
+func (f *luFactor) ftranR(v []float64) {
+	for t, tgt := range f.rtgt {
+		acc := 0.0
+		for e := f.rptr[t]; e < f.rptr[t+1]; e++ {
+			acc += f.rval[e] * v[f.rrow[e]]
+		}
+		v[tgt] -= acc
+	}
+}
+
+// ftranU back-substitutes through U in reverse triangular order, column-
+// scatter form: once step c's value is known, its contribution is
+// subtracted from every earlier row carrying column c. A step whose
+// right-hand side is zero yields zero and scatters nothing — its whole U
+// column is skipped. The solution is left in tmp, indexed by step; v is
+// consumed.
+func (f *luFactor) ftranU(v []float64) {
+	m := f.m
 	tmp := f.tmp
-	for c := m - 1; c >= 0; c-- {
+	for i := m - 1; i >= 0; i-- {
+		c := f.ord[i]
 		t := v[f.pr[c]]
 		if t == 0 {
 			tmp[c] = 0
@@ -47,27 +70,8 @@ func (f *luFactor) ftranBase(v []float64) {
 		}
 		t /= f.upiv[c]
 		tmp[c] = t
-		for e := f.ucptr[c]; e < f.ucptr[c+1]; e++ {
-			v[f.pr[f.ucrow[e]]] -= f.ucval[e] * t
-		}
-	}
-	for k := 0; k < m; k++ {
-		v[f.pc[k]] = tmp[k]
-	}
-}
-
-// ftranEtas applies the product-form updates in append order. An update
-// whose pivot slot holds zero is a no-op and is skipped outright.
-func (f *luFactor) ftranEtas(v []float64) {
-	for t := 0; t < len(f.epos); t++ {
-		r := f.epos[t]
-		if v[r] == 0 {
-			continue
-		}
-		pv := v[r] / f.epiv[t]
-		v[r] = pv
-		for e := f.eptr[t]; e < f.eptr[t+1]; e++ {
-			v[f.eidx[e]] -= f.eval[e] * pv
+		for e := f.ucbeg[c]; e < f.ucend[c]; e++ {
+			v[f.ucrow[e]] -= f.ucval[e] * t
 		}
 	}
 }
@@ -75,16 +79,22 @@ func (f *luFactor) ftranEtas(v []float64) {
 // ftranSpike solves B·w = A_col for a sparse constraint column. w must be
 // zero on entry; the result is left in w with its nonzero slots appended
 // to ind (returned). The list is what keeps the downstream ratio test and
-// xB update O(nnz) instead of O(m).
+// xB update O(nnz) instead of O(m). The partial spike R·L⁻¹·A_col is kept
+// for a following appendEta.
 func (f *luFactor) ftranSpike(col []entry, w []float64, ind []int32) []int32 {
 	for _, e := range col {
 		w[e.row] += e.val
 	}
-	f.ftranDense(w)
+	f.ftranL(w)
+	f.ftranR(w)
+	copy(f.spike, w[:f.m])
+	f.ftranU(w)
 	ind = ind[:0]
-	for i := 0; i < f.m; i++ {
-		if w[i] != 0 {
-			ind = append(ind, int32(i))
+	for s := 0; s < f.m; s++ {
+		x := f.tmp[f.colOf[s]]
+		w[s] = x
+		if x != 0 {
+			ind = append(ind, int32(s))
 		}
 	}
 	return ind
@@ -100,23 +110,39 @@ func clearSpike(w []float64, ind []int32) {
 // btranDense solves Bᵀ·y = v in place: v enters indexed by basis slot,
 // leaves indexed by constraint row.
 func (f *luFactor) btranDense(v []float64) {
-	f.btranEtas(v)
 	m := f.m
-	// Uᵀ forward solve, gather form: row k of Uᵀ is column k of U, already
-	// available as the ucptr/ucrow/ucval column form, and every entry it
-	// references (earlier steps) is solved by the time step k runs.
+	// Uᵀ forward solve in triangular order, row-scatter form: once step
+	// k's value is known, it is subtracted from every later step its U row
+	// reaches. A zero step scatters nothing, so a unit vector touches only
+	// the rows it reaches.
 	tmp := f.tmp
 	for k := 0; k < m; k++ {
-		t := v[f.pc[k]]
-		for e := f.ucptr[k]; e < f.ucptr[k+1]; e++ {
-			if x := tmp[f.ucrow[e]]; x != 0 {
-				t -= f.ucval[e] * x
-			}
+		tmp[k] = v[f.pc[k]]
+	}
+	for _, k := range f.ord[:m] {
+		t := tmp[k]
+		if t == 0 {
+			continue
 		}
-		tmp[k] = t / f.upiv[k]
+		t /= f.upiv[k]
+		tmp[k] = t
+		for _, q := range f.urpos[f.urbeg[k]:f.urend[k]] {
+			tmp[f.uccol[q]] -= f.ucval[q] * t
+		}
 	}
 	for k := 0; k < m; k++ {
 		v[f.pr[k]] = tmp[k]
+	}
+	// Rᵀ in reverse update order: each row eta's target row feeds its
+	// multipliers back to the rows it was eliminated with.
+	for t := len(f.rtgt) - 1; t >= 0; t-- {
+		pv := v[f.rtgt[t]]
+		if pv == 0 {
+			continue
+		}
+		for e := f.rptr[t]; e < f.rptr[t+1]; e++ {
+			v[f.rrow[e]] -= f.rval[e] * pv
+		}
 	}
 	// Lᵀ replay in reverse elimination order: the pivot row of step k
 	// absorbs the multipliers times the rows they fed during elimination.
@@ -132,19 +158,6 @@ func (f *luFactor) btranDense(v []float64) {
 	}
 }
 
-// btranEtas applies the transposed eta inverses in reverse append order
-// (only the pivot slot of each update changes).
-func (f *luFactor) btranEtas(v []float64) {
-	for t := len(f.epos) - 1; t >= 0; t-- {
-		dot := 0.0
-		for e := f.eptr[t]; e < f.eptr[t+1]; e++ {
-			dot += f.eval[e] * v[f.eidx[e]]
-		}
-		r := f.epos[t]
-		v[r] = (v[r] - dot) / f.epiv[t]
-	}
-}
-
 // btranUnit solves Bᵀ·ρ = e_slot into rho (zeroed here first), yielding
 // the constraint-row-space vector whose dot with a column gives that
 // column's entry in basis row `slot` — the dual simplex pivot row.
@@ -154,36 +167,105 @@ func (f *luFactor) btranUnit(slot int, rho []float64) {
 	f.btranDense(rho)
 }
 
-// appendEta records the pivot (entering spike w with nonzero list ind,
-// leaving slot r) as a product-form update. It returns false when the
-// spike's pivot entry is too small relative to its largest entry for the
-// update to be stable — the caller must then refactorize, recompute the
-// spike and retry. force bypasses the stability check; callers set it when
-// the factorization is already fresh, where refusing would loop (the ratio
-// test has bounded the pivot away from zero).
-func (f *luFactor) appendEta(w []float64, ind []int32, r int, force bool) bool {
-	piv := w[r]
-	if !force {
-		maxAbs := 0.0
-		for _, i := range ind {
-			if v := abs(w[i]); v > maxAbs {
-				maxAbs = v
-			}
-		}
-		if abs(piv) < etaPivotTol*maxAbs {
-			return false
-		}
+// appendEta applies the Forrest–Tomlin update for the pivot that brings
+// the column of the last ftranSpike into slot r; alpha is that spike's
+// entry α_r in slot r (the pivot). The saved partial spike replaces the U
+// column of r's step, the step moves to the end of the triangular order,
+// and its U row is eliminated into a new row eta.
+//
+// The update is refused — false, with the factorization of the old basis
+// left intact — when the new U diagonal falls below absPivotTol or
+// disagrees with α_r times the old diagonal by more than updateTol
+// relative (the two are equal in exact arithmetic because det B′ =
+// α_r·det B). The caller must then refactorize, recompute the spike and
+// retry. force skips the agreement check but not the floor; callers set
+// it when the factorization is already fresh, where refusing would loop
+// (the ratio test has bounded α_r away from zero).
+func (f *luFactor) appendEta(r int, alpha float64, force bool) bool {
+	m := int32(f.m)
+	p := f.colOf[r]
+	sp := f.spike // the new column p, by constraint row
+
+	// Eliminate U row p against the rows after it in triangular order — a
+	// Uᵀ solve in row-scatter form that skips zero steps — collecting the
+	// multipliers as the tentative row eta and folding their products with
+	// the new column into the new diagonal. wk is left zero.
+	wk := f.dense
+	for _, q := range f.urpos[f.urbeg[p]:f.urend[p]] {
+		wk[f.uccol[q]] += f.ucval[q]
 	}
-	for _, i := range ind {
-		if int(i) == r || w[i] == 0 {
+	diag := sp[f.pr[p]]
+	r0 := len(f.rrow)
+	for i := f.posOf[p] + 1; i < m; i++ {
+		c := f.ord[i]
+		x := wk[c]
+		if x == 0 {
 			continue
 		}
-		f.eidx = append(f.eidx, i)
-		f.eval = append(f.eval, w[i])
+		wk[c] = 0
+		x /= f.upiv[c]
+		row := f.pr[c]
+		f.rrow = append(f.rrow, row)
+		f.rval = append(f.rval, x)
+		for _, q := range f.urpos[f.urbeg[c]:f.urend[c]] {
+			wk[f.uccol[q]] -= f.ucval[q] * x
+		}
+		diag -= x * sp[row]
 	}
-	f.eptr = append(f.eptr, int32(len(f.eidx)))
-	f.epos = append(f.epos, int32(r))
-	f.epiv = append(f.epiv, piv)
-	f.stats.EtaNnz += int64(len(f.eidx)) - int64(f.eptr[len(f.eptr)-2])
+	want := alpha * f.upiv[p]
+	// Written so that a NaN diagonal fails both tests.
+	if !(abs(diag) >= absPivotTol && (force || abs(diag-want) <= updateTol*abs(want))) {
+		f.rrow, f.rval = f.rrow[:r0], f.rval[:r0]
+		f.stats.UpdateRejects++
+		return false
+	}
+
+	// Commit: retire the old column p and the off-diagonal entries of row
+	// p (zeroed in place; factorize compacts them away), install the
+	// spike as column p, and move step p to the end of the order.
+	for q := f.ucbeg[p]; q < f.ucend[p]; q++ {
+		f.ucval[q] = 0
+	}
+	for _, q := range f.urpos[f.urbeg[p]:f.urend[p]] {
+		f.ucval[q] = 0
+	}
+	f.urend[p] = f.urbeg[p]
+	f.ucbeg[p] = int32(len(f.ucrow))
+	for i, v := range sp[:m] {
+		if v == 0 || int32(i) == f.pr[p] {
+			continue
+		}
+		f.urowAppend(f.stepOf[i], int32(len(f.ucrow)))
+		f.ucrow = append(f.ucrow, int32(i))
+		f.uccol = append(f.uccol, p)
+		f.ucval = append(f.ucval, v)
+	}
+	f.ucend[p] = int32(len(f.ucrow))
+	f.upiv[p] = diag
+	pos := f.posOf[p]
+	copy(f.ord[pos:m], f.ord[pos+1:m])
+	f.ord[m-1] = p
+	for i := pos; i < m; i++ {
+		f.posOf[f.ord[i]] = i
+	}
+	f.rptr = append(f.rptr, int32(len(f.rrow)))
+	f.rtgt = append(f.rtgt, f.pr[p])
+	n := len(f.rrow) - r0 + int(f.ucend[p]-f.ucbeg[p])
+	f.updNnz += n
+	f.stats.EtaNnz += int64(n)
 	return true
+}
+
+// urowAppend adds column-store position q to U row k's index, moving the
+// row to the end of urpos with doubled room when it is full.
+func (f *luFactor) urowAppend(k, q int32) {
+	if f.urend[k] == f.urlim[k] {
+		b, e := f.urbeg[k], f.urend[k]
+		nb := int32(len(f.urpos))
+		f.urpos = append(f.urpos, f.urpos[b:e]...)
+		f.urpos = append(f.urpos, make([]int32, e-b+4)...)
+		f.urbeg[k], f.urend[k], f.urlim[k] = nb, nb+e-b, int32(len(f.urpos))
+	}
+	f.urpos[f.urend[k]] = q
+	f.urend[k]++
 }

@@ -13,8 +13,8 @@ import (
 // denseref_test.go, and when both are optimal the objectives must agree to
 // 1e-7. The warm half re-solves each instance through one shared Arena with
 // branch-and-bound style bound tightenings, checking the dual warm-start
-// path (eta accumulation, refactorization triggers) against cold reference
-// solves of the identical bounds.
+// path (basis-update accumulation, refactorization triggers) against cold
+// reference solves of the identical bounds.
 
 const objTol = 1e-7
 
@@ -75,7 +75,7 @@ func genLP(rng *rand.Rand) *Model {
 	if prev != nil && rng.Intn(4) == 0 {
 		// Nearly parallel row: one coefficient nudged by 1e-9. If both end
 		// up basic the basis is near-singular, exercising the Markowitz
-		// pivot tolerance and the eta stability check.
+		// pivot tolerance and the update stability check.
 		near := append([]Term(nil), prev...)
 		near[0].Coef += 1e-9
 		m.AddRow(GE, float64(-rng.Intn(20)), near...)
@@ -127,7 +127,10 @@ func tightenBounds(rng *rand.Rand, lo, hi []float64) {
 	}
 }
 
-func runKernelAgreement(t *testing.T, seed int64) {
+// runKernelAgreement checks one generated model cold and then through a
+// warm sequence, and returns how many warm (dual simplex) solves
+// refactorized the basis on top of accumulated updates.
+func runKernelAgreement(t *testing.T, seed int64) (warmRefactors int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := genLP(rng)
@@ -135,20 +138,34 @@ func runKernelAgreement(t *testing.T, seed int64) {
 
 	sol := checkAgainstRef(t, m, nil, nil, a, "cold")
 	if sol.Status != Optimal {
-		return // nothing to warm-start from
+		return 0 // nothing to warm-start from
 	}
 
-	// Warm sequence: repeated bound tightenings through the same arena. The
-	// live kernel takes the dual warm-start path; the reference re-solves
-	// cold each time. Enough steps to cross the eta refactorization trigger.
+	// Warm sequence: bound tightenings through the same arena, backing up
+	// to the root bounds after a child that is not optimal and every
+	// eighth step, as a branch-and-bound dive would. The live kernel takes
+	// the dual warm-start path; the reference re-solves cold each time.
+	// Long enough for the basis updates to cross the refactorization
+	// trigger (m/2+4 updates) several times on most models.
+	rootLo, rootHi := m.Bounds()
 	lo, hi := m.Bounds()
-	for step := 0; step < 6; step++ {
+	for step := 0; step < 48; step++ {
+		if step%8 == 7 {
+			copy(lo, rootLo)
+			copy(hi, rootHi)
+		}
 		tightenBounds(rng, lo, hi)
+		warm, ws, refactors := a.warm, a.warmSolves, a.lu.stats.Refactors
 		sol = checkAgainstRef(t, m, lo, hi, a, "warm")
+		if warm && a.warmSolves == ws+1 && a.lu.stats.Refactors > refactors {
+			warmRefactors++
+		}
 		if sol.Status != Optimal {
-			return
+			copy(lo, rootLo)
+			copy(hi, rootHi)
 		}
 	}
+	return warmRefactors
 }
 
 func TestLPKernelAgreement(t *testing.T) {
@@ -156,11 +173,17 @@ func TestLPKernelAgreement(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
+	warmRefactors := 0
 	for seed := int64(1); seed <= int64(n); seed++ {
 		seed := seed
-		if !t.Run("", func(t *testing.T) { runKernelAgreement(t, seed) }) {
+		if !t.Run("", func(t *testing.T) { warmRefactors += runKernelAgreement(t, seed) }) {
 			t.Fatalf("seed %d failed", seed)
 		}
+	}
+	// The warm sequences must exercise refactorization on top of
+	// accumulated updates, not only update runs shorter than the cap.
+	if warmRefactors < n/4 {
+		t.Fatalf("%d warm solves over %d seeds refactorized, want at least %d", warmRefactors, n, n/4)
 	}
 }
 

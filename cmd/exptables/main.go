@@ -43,7 +43,8 @@ func run() error {
 		"design-scale sweep: wall, peak heap and routed QoR vs instance count")
 	archStr := flag.String("arch", "closedm1", "architecture for -fig6")
 	scale := flag.Float64("scale", 0.1, "design scale factor (1.0 = paper instance counts)")
-	workers := flag.Int("workers", 8, "parallel window solvers")
+	workers := flag.Int("workers", 0,
+		"parallel window solvers and router workers (0: GOMAXPROCS)")
 	sweepDesign := flag.String("sweep-design", "jpeg", "paper design the -scalesweep grows")
 	sweepScales := flag.String("sweep-scales", "0.1,0.5,1.0,2.0",
 		"comma-separated scale factors for -scalesweep (duplicates after the 200-inst floor are dropped)")

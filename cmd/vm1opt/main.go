@@ -62,9 +62,8 @@ func run() error {
 	util := flag.Float64("util", 0.75, "placement utilization")
 	alpha := flag.Float64("alpha", -1, "alignment weight (negative: architecture default)")
 	seqStr := flag.String("seq", "", "U sequence 'bwUm:lx:ly,...' (default 20:4:1)")
-	workers := flag.Int("workers", 8, "parallel window solvers")
-	solverWorkers := flag.Int("solver-workers", 0,
-		"branch-and-bound workers inside each window MILP (0: sequential)")
+	workers := flag.Int("workers", 0,
+		"parallel window solvers and router workers (0: GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
 	guided := flag.Bool("guided", false,
@@ -142,7 +141,6 @@ func run() error {
 		Util:             *util,
 		Sequence:         seq,
 		Workers:          *workers,
-		SolverWorkers:    *solverWorkers,
 		Guided:           *guided,
 		GuidedColdFrac:   *guidedCold,
 		GuidedShrink:     *guidedShrink,

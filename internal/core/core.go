@@ -88,14 +88,6 @@ type Params struct {
 	// 2 x Workers windows are live at once; placements are identical for
 	// every value.
 	Workers int
-	// SolverWorkers is the speculative branch-and-bound worker count
-	// inside each window MILP (milp.Params.Workers): at >= 2 node
-	// relaxations are solved in parallel with canonically-ordered commits,
-	// so any such count yields identical placements. <= 1 keeps the
-	// sequential warm-started solver. Orthogonal to Workers, which
-	// parallelizes across windows; the default of 0 leaves all parallelism
-	// at the window level.
-	SolverWorkers int
 	// MaxMILPCells is the largest window (movable cells) solved exactly;
 	// larger windows use the greedy coordinate-descent fallback (0: 100).
 	MaxMILPCells int

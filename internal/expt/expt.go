@@ -124,10 +124,6 @@ type FlowConfig struct {
 	// substrate defaults (GOMAXPROCS). Routed Metrics are identical for
 	// every value — see internal/route/parallel.go.
 	Workers int
-	// SolverWorkers sets the speculative branch-and-bound worker count
-	// inside each window MILP (core.Params.SolverWorkers). Zero keeps the
-	// sequential solver; any count >= 2 yields identical placements.
-	SolverWorkers int
 	// TimeLimit overrides the optimizer's per-window MILP wall budget:
 	// positive sets it, negative disables it entirely (node-capped only —
 	// with Workers=1 the whole flow is then bit-for-bit deterministic),
@@ -181,9 +177,6 @@ func (cfg FlowConfig) Params(p *layout.Placement) (core.Params, error) {
 	}
 	if cfg.Workers > 0 {
 		prm.Workers = cfg.Workers
-	}
-	if cfg.SolverWorkers > 0 {
-		prm.SolverWorkers = cfg.SolverWorkers
 	}
 	switch {
 	case cfg.TimeLimit > 0:

@@ -15,19 +15,19 @@ import (
 
 // TestFlowConfigParamsDEFPath checks that a flow and an external LEF/DEF
 // placement (vm1opt -lef/-def) expand one FlowConfig into the same
-// optimizer parameters. SolverWorkers and SlackAlphaWeight without an
-// objective are the fields the DEF path once dropped. The slack-derived
-// NetAlpha comes from STA over the parsed design, whose nets a DEF round
-// trip reorders, so across the two paths it is checked for presence and
-// length; against a placement built like the flow's it must match
-// exactly.
+// optimizer parameters. MaxOuterIters and TimeLimit stand for the plain
+// pass-through fields (both set away from their defaults); SlackAlphaWeight
+// without an objective is the field the DEF path once dropped. The
+// slack-derived NetAlpha comes from STA over the parsed design, whose nets
+// a DEF round trip reorders, so across the two paths it is checked for
+// presence and length; against a placement built like the flow's it must
+// match exactly.
 func TestFlowConfigParamsDEFPath(t *testing.T) {
 	spec := DesignSpec{Name: "m0", NumInsts: MinScaledInsts, Seed: 7}
 	cfg := FlowConfig{
 		Arch:             tech.ClosedM1,
 		Util:             0.75,
 		Workers:          1,
-		SolverWorkers:    3,
 		SlackAlphaWeight: 2,
 		MaxOuterIters:    1,
 		TimeLimit:        -1,
@@ -75,9 +75,10 @@ func TestFlowConfigParamsDEFPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if defPrm.SolverWorkers != 3 || len(defPrm.NetAlpha) != len(q.Design.Nets) {
-		t.Errorf("DEF path dropped config: SolverWorkers %d, %d NetAlpha for %d nets",
-			defPrm.SolverWorkers, len(defPrm.NetAlpha), len(q.Design.Nets))
+	if defPrm.MaxOuterIters != 1 || defPrm.TimeLimit != 0 ||
+		len(defPrm.NetAlpha) != len(q.Design.Nets) {
+		t.Errorf("DEF path dropped config: MaxOuterIters %d, TimeLimit %v, %d NetAlpha for %d nets",
+			defPrm.MaxOuterIters, defPrm.TimeLimit, len(defPrm.NetAlpha), len(q.Design.Nets))
 	}
 	flowPrm.NetAlpha, defPrm.NetAlpha = nil, nil
 	if !reflect.DeepEqual(flowPrm, defPrm) {

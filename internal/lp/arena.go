@@ -90,13 +90,6 @@ func (a *Arena) SetDeadline(t time.Time) {
 	a.hasDL = !t.IsZero()
 }
 
-// InvalidateWarm drops the warm-start state, forcing the next solve through
-// the deterministic cold path regardless of what this arena solved before.
-// Parallel branch-and-bound uses it so a node relaxation's result is a pure
-// function of (model, bounds, hint) — independent of which worker's arena
-// solved it, and of what that arena solved previously.
-func (a *Arena) InvalidateWarm() { a.warm = false }
-
 // Stats returns the cumulative simplex-kernel counters of every solve that
 // used this arena (solves, pivots, refactorizations, fill-in, update
 // growth and refusals). See GlobalStats for the process-wide aggregate.

@@ -412,3 +412,227 @@ func TestStatusStrings(t *testing.T) {
 		}
 	}
 }
+
+// windowLike is the structure buildWindowLike drew: enough to price any
+// integer assignment without the LP, as an exhaustive-enumeration oracle.
+type windowLike struct {
+	cost, pos [][]float64 // [group][candidate]
+	vmaxCost  float64     // cost of the net-bound variable
+	conflicts [][4]int    // {g1, k1, g2, k2}: not both selected
+	dCost     float64     // indicator reward (negative cost)
+	k1, k2    int         // the pair of choices the indicator rewards
+	varOf     [][]int     // [group][candidate] -> LP variable
+	vmax, d   int         // net-bound and indicator LP variables
+}
+
+// buildWindowLike constructs a random MILP shaped like the paper's window
+// problems: exactly-one candidate groups with distinct fractional costs,
+// continuous net-bound variables tied to the candidate choice, conflict
+// rows, and an indicator binary rewarded only when the first two groups
+// pick one given pair. Fractional costs keep LP optima unique, which is
+// the regime the window MILPs live in after the lp package's
+// deterministic RHS perturbation.
+func buildWindowLike(rng *rand.Rand) (*Model, windowLike) {
+	m := lp.NewModel()
+	mm := NewModel(m)
+	var w windowLike
+	nGroups := 2 + rng.Intn(3) // 2..4 cells
+	w.varOf = make([][]int, nGroups)
+	w.cost = make([][]float64, nGroups)
+	w.pos = make([][]float64, nGroups) // candidate "positions" for bounds
+	for g := 0; g < nGroups; g++ {
+		size := 2 + rng.Intn(4) // 2..5 candidates
+		w.varOf[g] = make([]int, size)
+		w.cost[g] = make([]float64, size)
+		w.pos[g] = make([]float64, size)
+		terms := make([]lp.Term, size)
+		for k := 0; k < size; k++ {
+			w.cost[g][k] = rng.Float64() * 10
+			w.varOf[g][k] = m.AddVar(0, 1, w.cost[g][k], "l")
+			w.pos[g][k] = float64(rng.Intn(20)) + rng.Float64()
+			terms[k] = lp.Term{Var: w.varOf[g][k], Coef: 1}
+		}
+		m.AddRow(lp.EQ, 1, terms...)
+		mm.AddGroup(w.varOf[g])
+	}
+	// Net-bound variable: vmax >= position of each cell's choice.
+	w.vmaxCost = 1 + rng.Float64()
+	w.vmax = m.AddVar(0, math.Inf(1), w.vmaxCost, "max")
+	for g := 0; g < nGroups; g++ {
+		for k, v := range w.varOf[g] {
+			m.AddRow(lp.GE, 0, lp.Term{Var: w.vmax, Coef: 1},
+				lp.Term{Var: v, Coef: -w.pos[g][k]})
+		}
+	}
+	// Conflict rows between random candidate pairs.
+	for c := 0; c < 2+rng.Intn(3); c++ {
+		g1, g2 := rng.Intn(nGroups), rng.Intn(nGroups)
+		if g1 == g2 {
+			continue
+		}
+		k1, k2 := rng.Intn(len(w.varOf[g1])), rng.Intn(len(w.varOf[g2]))
+		w.conflicts = append(w.conflicts, [4]int{g1, k1, g2, k2})
+		m.AddRow(lp.LE, 1,
+			lp.Term{Var: w.varOf[g1][k1], Coef: 1},
+			lp.Term{Var: w.varOf[g2][k2], Coef: 1})
+	}
+	// Indicator binary: d <= (l[0][k1] + l[1][k2]) / 2, so d = 1 only
+	// when both choices are made, and the reward pulls the LP toward a
+	// fractional d = 1/2 whenever just one of them is.
+	w.dCost = -(1 + rng.Float64())
+	w.d = m.AddVar(0, 1, w.dCost, "d")
+	mm.MarkInt(w.d)
+	w.k1, w.k2 = rng.Intn(len(w.varOf[0])), rng.Intn(len(w.varOf[1]))
+	m.AddRow(lp.LE, 0, lp.Term{Var: w.d, Coef: 1},
+		lp.Term{Var: w.varOf[0][w.k1], Coef: -0.5},
+		lp.Term{Var: w.varOf[1][w.k2], Coef: -0.5})
+	return mm, w
+}
+
+// price returns the objective of selecting candidate sel[g] in every
+// group with indicator value d, and whether that assignment satisfies
+// every row. The net bound takes its cheapest feasible value, the
+// largest selected position.
+func (w windowLike) price(sel []int, d int) (float64, bool) {
+	for _, cf := range w.conflicts {
+		if sel[cf[0]] == cf[1] && sel[cf[2]] == cf[3] {
+			return 0, false
+		}
+	}
+	if d == 1 && (sel[0] != w.k1 || sel[1] != w.k2) {
+		return 0, false
+	}
+	obj, vmax := float64(d)*w.dCost, 0.0
+	for g, k := range sel {
+		obj += w.cost[g][k]
+		vmax = math.Max(vmax, w.pos[g][k])
+	}
+	return obj + w.vmaxCost*vmax, true
+}
+
+// enumerate calls fn with every (selection, indicator) assignment in a
+// fixed order; sel is reused between calls.
+func (w windowLike) enumerate(fn func(sel []int, d int)) {
+	sel := make([]int, len(w.cost))
+	var visit func(g int)
+	visit = func(g int) {
+		if g == len(sel) {
+			fn(sel, 0)
+			fn(sel, 1)
+			return
+		}
+		for k := range w.cost[g] {
+			sel[g] = k
+			visit(g + 1)
+		}
+	}
+	visit(0)
+}
+
+// decode reads the integer assignment out of a solution vector.
+func (w windowLike) decode(x []float64) (sel []int, d int) {
+	sel = make([]int, len(w.varOf))
+	for g, vars := range w.varOf {
+		for k, v := range vars {
+			if x[v] > 0.5 {
+				sel[g] = k
+			}
+		}
+	}
+	return sel, int(math.Round(x[w.d]))
+}
+
+// TestWindowLikeVsBrute checks the solver on window-shaped MILPs against
+// exhaustive enumeration of every group selection and indicator value:
+// the status matches, the optimum agrees to 1e-6, and the returned X is
+// an assignment whose price is the reported objective.
+func TestWindowLikeVsBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	for trial := 0; trial < 60; trial++ {
+		mm, w := buildWindowLike(rng)
+		best, found := math.Inf(1), false
+		w.enumerate(func(sel []int, d int) {
+			if obj, ok := w.price(sel, d); ok && obj < best {
+				best, found = obj, true
+			}
+		})
+		res := Solve(mm, Params{MaxNodes: 5000})
+		if !found {
+			if res.Status != Infeasible {
+				t.Fatalf("trial %d: brute infeasible, milp %s", trial, res.Status)
+			}
+			continue
+		}
+		if res.Status != Optimal || math.Abs(res.Obj-best) > 1e-6 {
+			t.Fatalf("trial %d: milp %s obj %.9f != brute %.9f", trial, res.Status, res.Obj, best)
+		}
+		sel, d := w.decode(res.X)
+		if obj, ok := w.price(sel, d); !ok || math.Abs(obj-res.Obj) > 1e-6 {
+			t.Fatalf("trial %d: X decodes to %v d=%d (feasible %v, price %.9f), reported obj %.9f",
+				trial, sel, d, ok, obj, res.Obj)
+		}
+	}
+}
+
+// TestAbortKeepsIncumbent stops solves mid-tree, by a 1-3 ms TimeLimit and
+// by a 1-3 node cap, each seeded with a valid non-optimal incumbent: the
+// result must always carry a solution no worse than the incumbent, and
+// that solution must be a feasible assignment at the reported price. The
+// node caps make the abort path run deterministically; the time limits
+// also cut relaxations short inside the LP.
+func TestAbortKeepsIncumbent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5150))
+	var seeded, aborted int
+	for trial := 0; trial < 60; trial++ {
+		mm, w := buildWindowLike(rng)
+		// The incumbent is the worst feasible assignment, so any node that
+		// improves it shows up in the result.
+		incumbent := make([]float64, mm.LP.NumVars())
+		incObj, found := math.Inf(-1), false
+		w.enumerate(func(sel []int, d int) {
+			obj, ok := w.price(sel, d)
+			if !ok || obj <= incObj {
+				return
+			}
+			incObj, found = obj, true
+			for j := range incumbent {
+				incumbent[j] = 0
+			}
+			for g, k := range sel {
+				incumbent[w.varOf[g][k]] = 1
+				// The net bound sits at its cheapest feasible value.
+				incumbent[w.vmax] = math.Max(incumbent[w.vmax], w.pos[g][k])
+			}
+			incumbent[w.d] = float64(d)
+		})
+		if !found {
+			continue
+		}
+		seeded++
+		for _, p := range []Params{
+			{TimeLimit: time.Duration(1+trial%3) * time.Millisecond},
+			{MaxNodes: 1 + trial%3},
+		} {
+			p.Incumbent, p.IncumbentObj = incumbent, incObj
+			res := Solve(mm, p)
+			if res.X == nil {
+				t.Fatalf("trial %d (limit %v, %d nodes): incumbent lost (status %s)",
+					trial, p.TimeLimit, p.MaxNodes, res.Status)
+			}
+			if res.Obj > incObj+1e-9 {
+				t.Fatalf("trial %d: obj %v worse than incumbent %v", trial, res.Obj, incObj)
+			}
+			sel, d := w.decode(res.X)
+			if obj, ok := w.price(sel, d); !ok || math.Abs(obj-res.Obj) > 1e-6 {
+				t.Fatalf("trial %d: X decodes to %v d=%d (feasible %v, price %.9f), reported obj %.9f",
+					trial, sel, d, ok, obj, res.Obj)
+			}
+			if res.Status == Feasible {
+				aborted++
+			}
+		}
+	}
+	if seeded < 30 || aborted == 0 {
+		t.Fatalf("corpus too easy: %d seeded trials, %d aborted solves", seeded, aborted)
+	}
+}
